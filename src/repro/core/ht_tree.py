@@ -93,6 +93,17 @@ def hash_u64(key: int) -> int:
     return z ^ (z >> 31)
 
 
+def _encode_leaves(leaves: list["_Leaf"]) -> bytes:
+    """Serialize a leaves array (layout in the module docstring)."""
+    return b"".join(
+        encode_u64(leaf.upper)
+        + encode_u64(leaf.table)
+        + encode_u64(leaf.version)
+        + encode_u64(leaf.buckets)
+        for leaf in leaves
+    )
+
+
 @dataclass(frozen=True)
 class _Leaf:
     """One cached leaf: a key range mapped to a far hash table."""
@@ -255,29 +266,27 @@ class HTTree:
         # for parallelism; each table's buckets+chains stay co-located.
         return spread() if self.table_hint_spread else None
 
+    def _table_size(self) -> int:
+        return TABLE_HEADER_BYTES + self.bucket_count * WORD
+
     def _create_table(self, version: int) -> int:
-        size = TABLE_HEADER_BYTES + self.bucket_count * WORD
+        """Provision an empty table for :meth:`create` (a split builds its
+        tables with metered writes, see :meth:`_build_table`)."""
+        size = self._table_size()
         table = self.allocator.alloc(size, self._table_hint())
         fabric = self.allocator.fabric
-        fabric.write(table, b"\x00" * size)  # fmlint: disable=FM003 (caller charges the access)
-        fabric.write_word(table, version)  # fmlint: disable=FM003 (caller charges the access)
+        fabric.write(table, b"\x00" * size)  # fmlint: disable=FM003 (pre-attach provisioning)
+        fabric.write_word(table, version)  # fmlint: disable=FM003 (pre-attach provisioning)
         return table
 
     def _publish_tree(self, version: int, leaves: list[_Leaf]) -> None:
-        """Serialize the leaves array and flip the header (setup-side or
-        splitter-side; callers charge the far accesses)."""
-        blob = b"".join(
-            encode_u64(leaf.upper)
-            + encode_u64(leaf.table)
-            + encode_u64(leaf.version)
-            + encode_u64(leaf.buckets)
-            for leaf in leaves
-        )
+        """Serialize the initial leaves array and header for :meth:`create`."""
+        blob = _encode_leaves(leaves)
         region = self.allocator.alloc(max(len(blob), WORD))
         fabric = self.allocator.fabric
-        fabric.write(region, blob)  # fmlint: disable=FM003 (caller charges the access)
+        fabric.write(region, blob)  # fmlint: disable=FM003 (pre-attach provisioning)
         header_blob = encode_u64(version) + encode_u64(len(leaves)) + encode_u64(region)
-        fabric.write(self.header, header_blob)  # fmlint: disable=FM003 (caller charges the access)
+        fabric.write(self.header, header_blob)  # fmlint: disable=FM003 (pre-attach provisioning)
 
     # ------------------------------------------------------------------
     # Client tree cache
@@ -876,13 +885,7 @@ class HTTree:
                 _Leaf(leaf.upper, high_table, new_version, self.bucket_count)
             )
         new_leaves.sort(key=lambda entry: entry.upper)
-        blob = b"".join(
-            encode_u64(entry.upper)
-            + encode_u64(entry.table)
-            + encode_u64(entry.version)
-            + encode_u64(entry.buckets)
-            for entry in new_leaves
-        )
+        blob = _encode_leaves(new_leaves)
         region = self.allocator.alloc(len(blob))
         client.write(region, blob)
         client.fence()
@@ -946,27 +949,26 @@ class HTTree:
 
     def _build_table(self, client: Client, items: list[_Item], version: int) -> int:
         """Materialise a fresh table holding ``items``: records written
-        with one scatter, buckets with one write.
+        with one scatter, then the table header and buckets with one write.
 
         Records are individual allocations (co-located with the table) so
         that later deletes and splits can retire each one independently.
         """
-        table = self._create_table(version)
-        if not items:
-            return table
-        near_table = PlacementHint(near=table)
-        records = [self.allocator.alloc(ITEM_BYTES, near_table) for _ in items]
+        table = self.allocator.alloc(self._table_size(), self._table_hint())
         buckets = [0] * self.bucket_count
-        blobs: list[bytes] = []
-        for addr, item in zip(records, items):
-            index = hash_u64(item.key) % self.bucket_count
-            linked = _Item(version, item.key, item.value, buckets[index])
-            buckets[index] = addr
-            blobs.append(linked.encode())
-        client.wscatter([(addr, ITEM_BYTES) for addr in records], b"".join(blobs))
-        client.write(
-            table + TABLE_HEADER_BYTES, b"".join(encode_u64(b) for b in buckets)
-        )
+        if items:
+            near_table = PlacementHint(near=table)
+            records = [self.allocator.alloc(ITEM_BYTES, near_table) for _ in items]
+            blobs: list[bytes] = []
+            for addr, item in zip(records, items):
+                index = hash_u64(item.key) % self.bucket_count
+                linked = _Item(version, item.key, item.value, buckets[index])
+                buckets[index] = addr
+                blobs.append(linked.encode())
+            client.wscatter([(addr, ITEM_BYTES) for addr in records], b"".join(blobs))
+        # Header: version, then a released split lock.
+        header = encode_u64(version) + encode_u64(0)
+        client.write(table, header + b"".join(encode_u64(b) for b in buckets))
         return table
 
     # ------------------------------------------------------------------

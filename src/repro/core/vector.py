@@ -60,6 +60,8 @@ class FarVector:
         descriptor = allocator.alloc(WORD, hint)
         storage = allocator.alloc(length * WORD, hint)
         # fmlint: disable=FM003 (pre-attach provisioning)
+        allocator.fabric.write(storage, b"\x00" * (length * WORD))
+        # fmlint: disable=FM003 (pre-attach provisioning)
         allocator.fabric.write_word(descriptor, storage)
         return cls(descriptor=descriptor, length=length)
 

@@ -5,10 +5,12 @@ to ``(node, offset)`` at its boundary, the way a NIC-side page table would
 (section 7.1 discusses placement; Storm-style designs show the dataplane
 must survive reconfiguration). :class:`~repro.fabric.address.RangePlacement`
 and :class:`~repro.fabric.address.InterleavedPlacement` are reduced to
-*initial-layout policies*: they define the identity mapping the table
-starts from, and the table records only the extents that have diverged
-from it. A table with no remapped extents therefore translates — and
-splits, and charges — exactly like the bare placement did.
+*initial-layout policies*: the table evaluates one of them once, at
+construction, into an explicit extent map (extent → ``(node, slot)`` plus
+its per-node inverse), and from then on reads only that map. Migration,
+staging and elastic growth edit the map in place. Until an extent moves,
+the map reproduces the layout's translation and segment splits exactly,
+so a fresh table charges like the bare placement did.
 
 Translation is free. The table is consulted on the memory side of the
 interconnect (the NIC's address-translation unit), so no extra round trip
@@ -82,10 +84,11 @@ class ExtentInfo:
 class ExtentTable:
     """Per-fabric virtual→physical mapping at extent granularity.
 
-    The table starts as the identity mapping defined by ``layout`` and
-    stores only deviations (``_remapped``), so the common all-clean case
-    delegates straight to the layout formulas and is bit-identical to the
-    pre-virtualisation fabric, including segment counts.
+    One explicit map, built once from ``layout`` and then edited in place:
+    ``_homes[extent]`` is the extent's ``(node, slot)`` and
+    ``_slots[node][slot]`` its inverse (``None`` for a free or staging
+    slot). Every translation indexes that map; the layout formula is
+    never consulted after construction.
     """
 
     def __init__(self, layout: Placement, extent_size: Optional[int] = None) -> None:
@@ -102,13 +105,16 @@ class ExtentTable:
             raise ValueError("extent_size must divide the interleave granularity")
         self._layout = layout
         self._es = extent_size
-        self._seed_size = layout.total_size
-        self._virtual_size = layout.total_size
-        self._node_sizes = [layout.node_size] * layout.node_count
-        # Deviations from the identity layout. All empty on a fresh table.
-        self._remapped: dict[int, tuple[int, int]] = {}  # extent -> (node, slot)
-        self._slot_override: dict[tuple[int, int], Optional[int]] = {}
-        self._appended: list[tuple[int, int, int]] = []  # (start_extent, count, node)
+        self._homes: list[tuple[int, int]] = []  # extent -> (node, slot)
+        self._slots: list[list[Optional[int]]] = [
+            [None] * (layout.node_size // extent_size) for _ in range(layout.node_count)
+        ]  # node -> slot -> extent, None when free or staging
+        for extent in range(layout.total_size // extent_size):
+            location = layout.locate(extent * extent_size)
+            slot = location.offset // extent_size
+            self._homes.append((location.node, slot))
+            self._slots[location.node][slot] = extent
+        self._remapped: set[int] = set()  # extents moved at least once
         self._free_slots: dict[int, list[int]] = {}
         self._drained: set[int] = set()
         # Live-migration state and telemetry.
@@ -137,18 +143,18 @@ class ExtentTable:
     @property
     def virtual_size(self) -> int:
         """Total bytes of the virtual far address space."""
-        return self._virtual_size
+        return len(self._homes) * self._es
 
     @property
     def extent_count(self) -> int:
-        return self._virtual_size // self._es
+        return len(self._homes)
 
     @property
     def node_count(self) -> int:
-        return len(self._node_sizes)
+        return len(self._slots)
 
     def node_size_of(self, node: int) -> int:
-        return self._node_sizes[node]
+        return len(self._slots[node]) * self._es
 
     def extent_of(self, address: int) -> int:
         return address // self._es
@@ -160,7 +166,7 @@ class ExtentTable:
         """Validate that ``[address, address + length)`` is inside the pool."""
         if length < 0:
             raise AddressError(address, length, "negative length")
-        if address < 0 or address + length > self._virtual_size:
+        if address < 0 or address + length > len(self._homes) * self._es:
             raise AddressError(address, length, "outside the far memory pool")
 
     # ------------------------------------------------------------------
@@ -169,23 +175,18 @@ class ExtentTable:
 
     def _mapping(self, extent: int) -> tuple[int, int]:
         """Current (node, slot) of ``extent``."""
-        mapped = self._remapped.get(extent)
-        if mapped is not None:
-            return mapped
-        base = extent * self._es
-        if base < self._seed_size:
-            location = self._layout.locate(base)
-            return location.node, location.offset // self._es
-        for start, count, node in self._appended:
-            if start <= extent < start + count:
-                return node, extent - start
-        raise AddressError(base, self._es, "extent outside the virtual address space")
+        if not 0 <= extent < len(self._homes):
+            raise AddressError(
+                extent * self._es, self._es, "extent outside the virtual address space"
+            )
+        return self._homes[extent]
 
     def locate(self, address: int) -> Location:
         """Resolve a virtual address to its current (node, offset)."""
         self.check(address, 1)
-        node, slot = self._mapping(address // self._es)
-        return Location(node=node, offset=slot * self._es + address % self._es)
+        extent, within = divmod(address, self._es)
+        node, slot = self._homes[extent]
+        return Location(node=node, offset=slot * self._es + within)
 
     def node_of(self, address: int) -> int:
         return self.locate(address).node
@@ -193,26 +194,16 @@ class ExtentTable:
     def try_globalize(self, node: int, offset: int) -> Optional[int]:
         """Virtual address of physical ``(node, offset)``, or ``None``.
 
-        ``None`` means the slot is currently unmapped — a freed source
-        slot, or a migration staging slot whose remap has not committed.
-        Memory-side write hooks use this to skip notifications for
-        staging traffic (exactly one notification per logical write).
+        ``None`` means the slot is currently unmapped — a free slot, or a
+        migration staging slot whose remap has not committed. Memory-side
+        write hooks use this to skip notifications for staging traffic
+        (exactly one notification per logical write).
         """
+        if not 0 <= node < len(self._slots) or not 0 <= offset < self.node_size_of(node):
+            raise AddressError(offset, 0, f"no such node/offset {node}/{offset}")
         slot, within = divmod(offset, self._es)
-        key = (node, slot)
-        if key in self._slot_override:
-            extent = self._slot_override[key]
-            if extent is None:
-                return None
-            return extent * self._es + within
-        if node < self._layout.node_count:
-            return self._layout.globalize(node, offset)
-        for start, count, seg_node in self._appended:
-            if seg_node == node and offset < count * self._es:
-                return start * self._es + offset
-        if 0 <= node < self.node_count and 0 <= offset < self._node_sizes[node]:
-            return None  # physically valid, no virtual mapping (free slot)
-        raise AddressError(offset, 0, f"no such node/offset {node}/{offset}")
+        extent = self._slots[node][slot]
+        return None if extent is None else extent * self._es + within
 
     def globalize(self, node: int, offset: int) -> int:
         address = self.try_globalize(node, offset)
@@ -223,49 +214,49 @@ class ExtentTable:
     def split(self, address: int, length: int) -> list[tuple[Location, int]]:
         """Split a virtual range into physically contiguous segments.
 
-        A clean table (no remaps) over the seed region delegates to the
-        layout formula, so segment counts — and therefore network
-        traversals — are bit-identical to the static-placement fabric.
-        Once extents have moved, adjacent extents that land physically
-        contiguous on one node are coalesced (the NIC issues one DMA for
-        a physically contiguous range).
+        Adjacent extents that land physically contiguous on one node are
+        coalesced (the NIC issues one DMA for a physically contiguous
+        range). On a fresh table over a range layout, or an interleaved
+        layout of two or more nodes, that yields exactly the layout's own
+        segments, so segment counts — and therefore network traversals —
+        match the static placement until an extent moves.
         """
-        if not self._remapped and address + length <= self._seed_size:
-            return self._layout.split(address, length)
         self.check(address, length)
+        es = self._es
+        homes = self._homes
         segments: list[tuple[Location, int]] = []
         cursor = address
         end = address + length
-        es = self._es
         while cursor < end:
-            location = self.locate(cursor)
-            take = min(es - (cursor % es), end - cursor)
+            extent, within = divmod(cursor, es)
+            node, slot = homes[extent]
+            offset = slot * es + within
+            take = min(es - within, end - cursor)
+            cursor += take
             if segments:
                 prev_loc, prev_len = segments[-1]
-                if prev_loc.node == location.node and prev_loc.offset + prev_len == location.offset:
+                if prev_loc.node == node and prev_loc.offset + prev_len == offset:
                     segments[-1] = (prev_loc, prev_len + take)
-                    cursor += take
                     continue
-            segments.append((location, take))
-            cursor += take
+            segments.append((Location(node=node, offset=offset), take))
         return segments
 
     def same_node_span(self, address: int, limit: Optional[int] = None) -> int:
         """Bytes from ``address`` onward whose extents share one node.
 
-        On a clean table this is the layout's ``contiguous_extent`` (the
-        allocator's legacy notion); after migration it walks the table.
-        ``limit`` allows early exit once enough span is proven.
+        On a fresh table this equals the layout's ``contiguous_extent``
+        (the allocator's legacy notion). ``limit`` allows early exit once
+        enough span is proven.
         """
         self.check(address, 1)
-        if not self._remapped and address < self._seed_size:
-            return self._layout.contiguous_extent(address)
         es = self._es
-        node, _ = self._mapping(address // es)
+        homes = self._homes
+        extent = address // es
+        node = homes[extent][0]
         span = es - (address % es)
-        extent = address // es + 1
-        while (limit is None or span < limit) and extent < self.extent_count:
-            if self._mapping(extent)[0] != node:
+        extent += 1
+        while (limit is None or span < limit) and extent < len(homes):
+            if homes[extent][0] != node:
                 break
             span += es
             extent += 1
@@ -273,7 +264,9 @@ class ExtentTable:
 
     def extents_on_node(self, node: int) -> list[int]:
         """Extents currently mapped to ``node``, ascending."""
-        return [e for e in range(self.extent_count) if self._mapping(e)[0] == node]
+        if not 0 <= node < len(self._slots):
+            return []
+        return sorted(extent for extent in self._slots[node] if extent is not None)
 
     def node_extent_runs(self, node: int) -> list[tuple[int, int]]:
         """Virtually contiguous runs ``(start_address, length)`` on ``node``."""
@@ -375,12 +368,10 @@ class ExtentTable:
         slots = self._free_slots.get(node)
         if not slots:
             raise AllocationError(f"no free extent slot on node {node}")
-        slot = slots.pop(0)
-        self._slot_override[(node, slot)] = None  # staging: unmapped until commit
-        return slot
+        return slots.pop(0)  # stays unmapped until the remap commits
 
     def free_slot(self, node: int, slot: int) -> None:
-        self._slot_override[(node, slot)] = None
+        self._slots[node][slot] = None
         insort(self._free_slots.setdefault(node, []), slot)
 
     def add_node(self, size: Optional[int] = None, *, grow_virtual: bool = False) -> tuple[int, int]:
@@ -391,18 +382,19 @@ class ExtentTable:
         every virtual extent already, so headroom is what elasticity
         needs). With ``grow_virtual`` the node also extends the virtual
         address space by its full size, identity-mapped onto it.
+        ``size`` defaults to the seed nodes' size.
         """
-        size = self._layout.node_size if size is None else size
+        size = self.node_size_of(0) if size is None else size
         if size <= 0 or size % self._es != 0:
             raise ValueError("node size must be a positive multiple of the extent size")
         node = self.node_count
-        self._node_sizes.append(size)
         slots = size // self._es
         if grow_virtual:
-            start = self._virtual_size // self._es
-            self._appended.append((start, slots, node))
-            self._virtual_size += size
+            start = len(self._homes)
+            self._homes.extend((node, slot) for slot in range(slots))
+            self._slots.append(list(range(start, start + slots)))
             return node, size
+        self._slots.append([None] * slots)
         self._free_slots[node] = list(range(slots))
         return node, 0
 
@@ -429,11 +421,9 @@ class ExtentTable:
     def begin_migration(
         self, extent: int, dst_node: int, policy: MigrationWritePolicy = MigrationWritePolicy.FORWARD
     ) -> ExtentMigrationState:
-        if not 0 <= extent < self.extent_count:
-            raise AddressError(extent * self._es, self._es, "no such extent")
+        src_node, src_slot = self._mapping(extent)
         if extent in self._migrating:
             raise AllocationError(f"extent {extent} is already migrating")
-        src_node, src_slot = self._mapping(extent)
         if dst_node == src_node:
             raise AllocationError(f"extent {extent} already lives on node {dst_node}")
         dst_slot = self.alloc_slot(dst_node)
@@ -467,8 +457,9 @@ class ExtentTable:
                 f"extent {extent} copy incomplete ({state.cursor}/{self._es} bytes)"
             )
         del self._migrating[extent]
-        self._remapped[extent] = (state.dst_node, state.dst_slot)
-        self._slot_override[(state.dst_node, state.dst_slot)] = extent
+        self._homes[extent] = (state.dst_node, state.dst_slot)
+        self._slots[state.dst_node][state.dst_slot] = extent
+        self._remapped.add(extent)
         self.free_slot(state.src_node, state.src_slot)
         self._epochs[extent] = self.epoch_of(extent) + 1
         self._heat.pop(extent, None)
@@ -526,8 +517,7 @@ class ExtentTable:
     def dump(self) -> dict:
         """Full topology snapshot (``python -m repro topology``)."""
         extents = []
-        for extent in range(self.extent_count):
-            node, slot = self._mapping(extent)
+        for extent, (node, slot) in enumerate(self._homes):
             extents.append(
                 ExtentInfo(
                     extent=extent,
@@ -548,7 +538,7 @@ class ExtentTable:
             nodes.append(
                 {
                     "node": node,
-                    "size": self._node_sizes[node],
+                    "size": self.node_size_of(node),
                     "extents": sum(1 for row in extents if row["node"] == node),
                     "free_slots": self.free_slot_count(node),
                     "drained": node in self._drained,
@@ -557,7 +547,7 @@ class ExtentTable:
             )
         return {
             "extent_size": self._es,
-            "virtual_size": self._virtual_size,
+            "virtual_size": self.virtual_size,
             "extent_count": self.extent_count,
             "remapped": len(self._remapped),
             "migrating": self.migrating_extents,

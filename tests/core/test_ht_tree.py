@@ -184,6 +184,33 @@ class TestSplits:
         # Tables for the other ranges never split.
         assert tree.leaf_count() == 4 + splits
 
+    def test_split_writes_only_through_the_splitting_client(self, cluster):
+        tree = make_tree(cluster, bucket_count=1, max_chain=2)
+        c = cluster.client()
+        tree.put(c, 1, 10)
+        tree.put(c, 2, 20)
+        unmetered = []
+        for node in cluster.fabric.nodes:
+
+            def spy(node_id, offset, length, data, hook=node._write_hook):
+                if c._issue_ctx is None:  # not inside one of c's far ops
+                    unmetered.append((node_id, offset, length))
+                if hook is not None:
+                    hook(node_id, offset, length, data)
+
+            node.set_write_hook(spy)
+        before = c.metrics.snapshot()
+        tree.put(c, 3, 30)  # third key in the one bucket: chain 3 > 2
+        assert tree.stats.splits == 1
+        assert unmetered == []
+        # Insert 4 (load0, chain hop, record write, CAS) + split 19 (lock,
+        # refresh 2, bucket read, 3 chain-level gathers, 2 x (scatter +
+        # table write), leaves, header, tombstone, tombstone buckets,
+        # MOVED version, unlock, refresh 2).
+        assert c.metrics.delta(before).far_accesses == 23
+        for k in (1, 2, 3):
+            assert tree.get(c, k) == k * 10
+
     def test_stale_client_detects_split_via_tombstone(self, cluster):
         tree = make_tree(cluster, bucket_count=8, max_chain=3)
         writer = cluster.client()

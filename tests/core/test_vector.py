@@ -31,6 +31,16 @@ class TestFarVector:
         assert vector.get(client, 0) == 0
         assert vector.get(client, 31) == 0
 
+    def test_starts_zeroed_on_recycled_memory(self, cluster, client):
+        # First-fit hands the freed block straight back: the descriptor
+        # and the storage both land on the dirty bytes.
+        dirty = cluster.allocator.alloc(64 * WORD)
+        client.write(dirty, b"\xff" * (64 * WORD))
+        cluster.allocator.free(dirty)
+        vector = FarVector.create(cluster.allocator, 32)
+        assert dirty <= vector.base(client) < dirty + 64 * WORD
+        assert vector.read_all(client).tolist() == [0] * 32
+
     def test_set_get(self, vector, client):
         vector.set(client, 5, 99)
         assert vector.get(client, 5) == 99

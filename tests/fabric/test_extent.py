@@ -1,5 +1,7 @@
 """Tests for the extent table: translation, slots, migration mechanics."""
 
+import random
+
 import pytest
 
 from repro.fabric import (
@@ -13,6 +15,10 @@ from repro.fabric.extent import ExtentTable
 
 NODE_SIZE = 8 << 20
 ES = DEFAULT_EXTENT_SIZE
+LAYOUTS = pytest.mark.parametrize(
+    "interleaved, nodes, small_extent",
+    [(i, n, s) for i in (False, True) for n in (2, 4) for s in (False, True)],
+)
 
 
 class TestGeometry:
@@ -75,6 +81,124 @@ class TestCleanTableEquivalence:
         for address in (0, ES, NODE_SIZE + 17):
             location = table.locate(address)
             assert table.globalize(location.node, location.offset) == address
+
+    # The layout formulas are the reference for the table's map, over
+    # range and interleaved layouts, 2 and 4 nodes, and both the default
+    # extent size and one smaller than the stripe.
+
+    @staticmethod
+    def _fresh(interleaved, nodes, small_extent):
+        layout = make_placement(nodes, NODE_SIZE, interleaved=interleaved)
+        stripe = 4096 if interleaved else ES
+        table = ExtentTable(layout, extent_size=stripe // 4 if small_extent else None)
+        return layout, table
+
+    @staticmethod
+    def _probes(table):
+        es, total = table.extent_size, table.virtual_size
+        points = {0, 7, es - 8, es, 4096 - 8, 4096, 3 * 4096 + 16, NODE_SIZE - 8, NODE_SIZE}
+        points.add(total - 8)
+        rng = random.Random(12)
+        points.update(rng.randrange(total) & ~7 for _ in range(40))
+        return sorted(p for p in points if 0 <= p < total)
+
+    @LAYOUTS
+    def test_locate_matches_layout_everywhere(self, interleaved, nodes, small_extent):
+        layout, table = self._fresh(interleaved, nodes, small_extent)
+        for address in self._probes(table):
+            assert table.locate(address) == layout.locate(address)
+
+    @LAYOUTS
+    def test_split_matches_layout_everywhere(self, interleaved, nodes, small_extent):
+        layout, table = self._fresh(interleaved, nodes, small_extent)
+        lengths = (0, 1, 8, 64, table.extent_size + 16, 3 * 4096 + 8, NODE_SIZE // 2 + 24)
+        for address in self._probes(table):
+            for length in lengths:
+                if address + length <= table.virtual_size:
+                    assert table.split(address, length) == layout.split(address, length)
+
+    @LAYOUTS
+    def test_same_node_span_matches_layout_everywhere(self, interleaved, nodes, small_extent):
+        layout, table = self._fresh(interleaved, nodes, small_extent)
+        for address in self._probes(table):
+            expected = layout.contiguous_extent(address)
+            assert table.same_node_span(address) == expected
+            for limit in (8, 4096, ES):
+                assert (table.same_node_span(address, limit=limit) >= limit) == (
+                    expected >= limit
+                )
+
+    @LAYOUTS
+    def test_globalize_matches_layout_everywhere(self, interleaved, nodes, small_extent):
+        layout, table = self._fresh(interleaved, nodes, small_extent)
+        offsets = [a for a in self._probes(table) if a < NODE_SIZE]
+        for node in range(nodes):
+            for offset in offsets:
+                assert table.try_globalize(node, offset) == layout.globalize(node, offset)
+                assert table.globalize(node, offset) == layout.globalize(node, offset)
+
+
+class TestSingleMap:
+    """Moves, growth, staging and frees edit the one map consistently."""
+
+    def test_extent_migrated_away_and_back_translates_home(self):
+        layout = make_placement(2, NODE_SIZE)
+        table = ExtentTable(layout)
+        table.add_node()  # node 2: headroom
+        extent = 3
+        base = extent * ES
+        home = layout.locate(base)
+        for target in (2, home.node):
+            state = table.begin_migration(extent, target)
+            table.advance_migration(extent, ES)
+            table.commit_migration(extent)
+            assert table.node_of(base) == target
+            assert table.globalize(state.dst_node, state.dst_slot * ES + 24) == base + 24
+            assert table.try_globalize(state.src_node, state.src_slot * ES) is None
+        # Back in its original slot: indistinguishable from the layout.
+        for address in (base, base + 8, base - 8, base + ES):
+            assert table.locate(address) == layout.locate(address)
+        assert table.split(base - 64, ES + 128) == layout.split(base - 64, ES + 128)
+        assert table.same_node_span(base) == layout.contiguous_extent(base)
+        assert table.extents_on_node(2) == []
+        assert table.dump()["extents"][extent]["remapped"] is True
+
+    def test_try_globalize_over_grown_headroom_staging_and_freed_slots(self):
+        table = ExtentTable(make_placement(1, NODE_SIZE))
+        grown, _ = table.add_node(grow_virtual=True)
+        spare, _ = table.add_node()
+        assert table.try_globalize(grown, 0) == NODE_SIZE
+        assert table.try_globalize(grown, NODE_SIZE - 8) == 2 * NODE_SIZE - 8
+        assert table.extents_on_node(grown)[0] == NODE_SIZE // ES
+        assert table.try_globalize(spare, 0) is None  # headroom: free slot
+        state = table.begin_migration(1, spare)
+        staging = state.dst_slot * ES
+        assert table.try_globalize(spare, staging + 16) is None  # staging slot
+        table.advance_migration(1, ES)
+        table.commit_migration(1)
+        assert table.try_globalize(spare, staging + 16) == ES + 16
+        assert table.try_globalize(0, ES) is None  # freed source slot
+        for node, offset in ((grown, NODE_SIZE), (spare, NODE_SIZE), (3, 0), (-1, 0), (0, -8)):
+            with pytest.raises(AddressError):
+                table.try_globalize(node, offset)
+
+    def test_out_of_range_and_negative_extents_raise(self):
+        table = ExtentTable(make_placement(2, NODE_SIZE))
+        table.add_node()
+        for extent in (-1, -table.extent_count, table.extent_count):
+            with pytest.raises(AddressError):
+                table.sibling_replica_nodes(extent)
+            with pytest.raises(AddressError):
+                table.begin_migration(extent, 2)
+        for address in (-8, -1, table.virtual_size):
+            with pytest.raises(AddressError):
+                table.locate(address)
+            with pytest.raises(AddressError):
+                table.split(address, 8)
+            with pytest.raises(AddressError):
+                table.same_node_span(address)
+        assert table.extents_on_node(-1) == []
+        assert table.extents_on_node(3) == []
 
 
 class TestElasticMembership:
