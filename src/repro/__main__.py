@@ -330,6 +330,15 @@ def _cost_certificate(
     return fmcost.build_certificate(model)
 
 
+def _baseline_diffs(cert: dict, baseline_path: str) -> Optional[list[str]]:
+    """Diff ``cert`` against the baseline file; ``None`` when it is missing."""
+    from repro.analysis import fmcost
+
+    if not os.path.isfile(baseline_path):
+        return None
+    return fmcost.diff_certificates(fmcost.load_certificate(baseline_path), cert)
+
+
 def _cost(
     paths: Sequence[str],
     out: Optional[str],
@@ -370,13 +379,11 @@ def _cost(
         print(f"updated baseline {baseline_path}")
         return status
     if check:
-        if not os.path.isfile(baseline_path):
+        diffs = _baseline_diffs(cert, baseline_path)
+        if diffs is None:
             print(f"fmcost: missing baseline {baseline_path} "
                   "(run: python -m repro cost --update-baseline)")
             return 1
-        diffs = fmcost.diff_certificates(
-            fmcost.load_certificate(baseline_path), cert
-        )
         if diffs:
             print(
                 f"fmcost: certificate diverges from {baseline_path} "
@@ -417,11 +424,8 @@ def _check(
     cert = _cost_certificate([])
     cost_failures = fmcost.certificate_failures(cert)
     baseline_path = baseline or _default_baseline_path()
-    if os.path.isfile(baseline_path):
-        cost_diffs = fmcost.diff_certificates(
-            fmcost.load_certificate(baseline_path), cert
-        )
-    else:
+    cost_diffs = _baseline_diffs(cert, baseline_path)
+    if cost_diffs is None:
         cost_diffs = [f"missing baseline {baseline_path}"]
     for problem in cost_failures + cost_diffs:
         print(f"cost: {problem}")

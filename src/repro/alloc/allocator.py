@@ -204,6 +204,28 @@ class FarAllocator:
             insort(self._free, (base + size, trailing))
 
     # ------------------------------------------------------------------
+    # Provisioning
+    # ------------------------------------------------------------------
+
+    def provision(self, address: int, data: bytes) -> None:
+        """Lay down a new structure's initial bytes at the block ``address``.
+
+        The one set-up path that reaches far memory without a client:
+        constructors call it right after :meth:`alloc`, before any client
+        uses the structure. The write is unmetered (no far access, no
+        fault draw) but, like any store, visible to the fabric's write
+        hooks. Raises :class:`AllocationError` unless ``address`` is the
+        base of a live block and ``data`` fits inside it.
+        """
+        size = self.size_of(address)
+        if len(data) > size:
+            raise AllocationError(
+                f"{len(data)} bytes overflow the {size}-byte block at 0x{address:x}"
+            )
+        # fmlint: disable=FM003 (pre-attach provisioning)
+        self.fabric.write(address, data)
+
+    # ------------------------------------------------------------------
     # Free
     # ------------------------------------------------------------------
 

@@ -89,20 +89,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .fmlint import FAR_SYNC_OPS, REGISTERED_FAR_STRUCTURES
+from .fmlint import FAR_COST_OPS, REGISTERED_FAR_STRUCTURES
 
 CERT_FORMAT = "fmcost-cert-v1"
 
 #: Verdicts that fail ``repro cost --check``.
 FAILING_VERDICTS = frozenset({"regression", "over_ceiling", "missing_budget"})
-
-#: Client methods that cost far accesses beyond the sync-shim set.
-#: ``submit`` is one posted op; ``charge_far_access`` is the explicit
-#: accounting hook; ``write_framed``/``read_verified`` are one framed op
-#: each (``read_verified`` pays +1 per verify-miss fallback address).
-_INTRINSIC_EXTRA = frozenset(
-    {"submit", "charge_far_access", "write_framed", "read_verified"}
-)
 
 _COST_DIRECTIVE_RE = re.compile(r"#\s*fmcost:\s*cost=(\d+)")
 _RETRY_DIRECTIVE_RE = re.compile(r"#\s*fmcost:\s*retry\b")
@@ -1096,8 +1088,8 @@ class _FnEval:
         return _OPAQUE
 
     def _intrinsic_cost(self, call: ast.Call, name: str) -> tuple:
-        if name in FAR_SYNC_OPS or name in ("submit", "charge_far_access", "write_framed"):
-            return (1, 0), Cost(const=1)
+        # Each far op is one access; ``read_verified`` also pays +1 per
+        # verify-miss fallback address.
         if name == "read_verified":
             fallback = next(
                 (kw.value for kw in call.keywords if kw.arg == "fallback"),
@@ -1108,6 +1100,8 @@ class _FnEval:
             if isinstance(fallback, (ast.Tuple, ast.List)):
                 return (1, 0), Cost(const=1 + len(fallback.elts))
             return (1, 0), TOP
+        if name in FAR_COST_OPS:
+            return (1, 0), Cost(const=1)
         return (0, 0), ZERO
 
     def _map_bulk_args(self, call: ast.Call, callee: FuncInfo) -> frozenset:

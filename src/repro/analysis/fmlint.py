@@ -49,8 +49,11 @@ line directly above) with::
 
 or for a whole file with ``# fmlint: disable-file=FM003`` anywhere in the
 file. Suppressions should carry a justification; they are how intentional
-exceptions (one-time unmetered provisioning, debug introspection) stay
-visible instead of silently normalized.
+exceptions (memory-node-side reads, debug introspection) stay visible
+instead of silently normalized. A new structure's initial bytes need no
+suppression: constructors lay them down through
+:meth:`~repro.alloc.allocator.FarAllocator.provision`, the one unmetered
+set-up path, which carries the only FM003 suppression for writes.
 
 The public API is :func:`lint_source` / :func:`lint_file` /
 :func:`lint_paths`; ``python -m repro lint`` is the CLI. Files under
@@ -166,7 +169,7 @@ REGISTERED_FAR_STRUCTURES = frozenset(
 #: Every client-receiver method that costs far accesses: the sync shims
 #: plus submit() (one posted op), the explicit accounting hook, and the
 #: framed/verified I/O helpers.
-_FAR_COST_OPS = FAR_SYNC_OPS | frozenset(
+FAR_COST_OPS = FAR_SYNC_OPS | frozenset(
     {"submit", "charge_far_access", "write_framed", "read_verified"}
 )
 
@@ -507,7 +510,8 @@ class _Checker(ast.NodeVisitor):
                     "FM003",
                     f"raw fabric.{name}() bypasses the metered Client: no "
                     "metrics, no budget, no trace; issue it through a "
-                    "client (or suppress for one-time provisioning)",
+                    "client (a constructor's initial bytes go through "
+                    "FarAllocator.provision)",
                 )
             # FM007: physical placement resolved outside the translation
             # layer. Addresses are virtual; a cached (node, offset) answer
@@ -734,7 +738,7 @@ def _issues_far_ops(fn: ast.AST) -> bool:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _FAR_COST_OPS
+            and node.func.attr in FAR_COST_OPS
             and _Checker._is_client_receiver(node.func)
         ):
             return True

@@ -46,7 +46,7 @@ class NaiveMonitor:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         base = allocator.alloc((capacity + 1) * WORD, hint)
-        allocator.fabric.write_word(base, 0)  # fmlint: disable=FM003 (pre-attach provisioning)
+        allocator.provision(base, bytes(WORD))
         return cls(count_addr=base, log_base=base + WORD, capacity=capacity)
 
 

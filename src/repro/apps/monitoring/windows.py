@@ -49,8 +49,7 @@ class WindowedHistogramRing:
         storages = [first]
         for _ in range(window_count - 1):
             region = allocator.alloc(bins * WORD, hint)
-            # fmlint: disable=FM003 (pre-attach provisioning)
-            allocator.fabric.write(region, b"\x00" * bins * WORD)
+            allocator.provision(region, bytes(bins * WORD))
             storages.append(region)
         return cls(histogram=histogram, storages=storages, _bins=bins)
 

@@ -85,8 +85,7 @@ class HopscotchHashMap:
             raise ValueError("invalid slot_count / neighborhood")
         base = allocator.alloc(slot_count * SLOT_BYTES, hint)
         empty = encode_u64(EMPTY_KEY) + encode_u64(0)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write(base, empty * slot_count)
+        allocator.provision(base, empty * slot_count)
         return cls(allocator, base, slot_count, neighborhood)
 
     def _home(self, key: int) -> int:

@@ -48,7 +48,7 @@ class FarLinkedList:
     ) -> "FarLinkedList":
         """Allocate an empty list (null head)."""
         head = allocator.alloc(WORD, hint)
-        allocator.fabric.write_word(head, 0)  # fmlint: disable=FM003 (pre-attach provisioning)
+        allocator.provision(head, bytes(WORD))
         return cls(allocator, head)
 
     def push_front(self, client: Client, key: int, value: int) -> None:

@@ -97,9 +97,8 @@ class OneSidedBTree:
         descriptor = allocator.alloc(WORD, hint)
         tree = cls(allocator, descriptor, max_keys, cache_levels)
         root = tree._alloc_node()
-        tree._write_raw(root, _BNode(is_leaf=True))
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write_word(descriptor, root)
+        allocator.provision(root, tree._encode(_BNode(is_leaf=True)))
+        allocator.provision(descriptor, encode_u64(root))
         return tree
 
     # ------------------------------------------------------------------
@@ -132,10 +131,6 @@ class OneSidedBTree:
         kid_base = 1 + 2 * self.max_keys
         children = [] if is_leaf else words[kid_base : kid_base + count + 1]
         return _BNode(is_leaf=is_leaf, keys=keys, values=values, children=children)
-
-    def _write_raw(self, address: int, node: _BNode) -> None:
-        # fmlint: disable=FM003 (create()-only path)
-        self.allocator.fabric.write(address, self._encode(node))
 
     # ------------------------------------------------------------------
     # Charged node I/O with level caching

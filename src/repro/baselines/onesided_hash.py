@@ -68,8 +68,7 @@ class OneSidedHashMap:
         if bucket_count <= 0:
             raise ValueError("bucket_count must be positive")
         base = allocator.alloc(bucket_count * WORD, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write(base, b"\x00" * bucket_count * WORD)
+        allocator.provision(base, bytes(bucket_count * WORD))
         return cls(allocator, base, bucket_count)
 
     def _bucket_address(self, key: int) -> int:

@@ -62,8 +62,7 @@ class FarSkipList:
     ) -> "FarSkipList":
         """Allocate an empty list (head tower of null pointers)."""
         head = allocator.alloc(MAX_LEVEL * WORD, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write(head, b"\x00" * MAX_LEVEL * WORD)
+        allocator.provision(head, bytes(MAX_LEVEL * WORD))
         return cls(allocator, head, seed=seed)
 
     def _random_level(self) -> int:

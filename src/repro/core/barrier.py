@@ -20,7 +20,7 @@ from typing import Optional
 from ..alloc import FarAllocator, PlacementHint
 from ..fabric.client import Client
 from ..fabric.errors import FabricError
-from ..fabric.wire import WORD
+from ..fabric.wire import WORD, encode_u64
 from ..notify.manager import NotificationManager
 from ..notify.subscription import Subscription
 
@@ -61,8 +61,7 @@ class FarBarrier:
         if participants <= 0:
             raise ValueError("participants must be positive")
         address = allocator.alloc(WORD, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write_word(address, participants)
+        allocator.provision(address, encode_u64(participants))
         return cls(address=address, participants=participants, manager=manager)
 
     def arrive(self, client: Client, *, subscribe: bool = True) -> ArrivalTicket:

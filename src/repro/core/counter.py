@@ -14,7 +14,7 @@ from typing import Optional
 from ..alloc import FarAllocator, PlacementHint
 from ..analysis.budget import far_budget
 from ..fabric.client import Client
-from ..fabric.wire import WORD, to_signed
+from ..fabric.wire import WORD, encode_u64, to_signed
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,12 @@ class FarCounter:
     ) -> "FarCounter":
         """Allocate a counter in far memory, initialised to ``initial``.
 
-        Initialisation is done fabric-side (no client is charged): it
-        models the one-time setup done by whoever provisions the data
-        structure.
+        Initialisation goes through ``allocator.provision`` (no client
+        is charged): it models the one-time setup done by whoever
+        provisions the data structure.
         """
         address = allocator.alloc(WORD, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write_word(address, initial)
+        allocator.provision(address, encode_u64(initial))
         return cls(address=address)
 
     @classmethod

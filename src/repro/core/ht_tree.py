@@ -274,19 +274,16 @@ class HTTree:
         tables with metered writes, see :meth:`_build_table`)."""
         size = self._table_size()
         table = self.allocator.alloc(size, self._table_hint())
-        fabric = self.allocator.fabric
-        fabric.write(table, b"\x00" * size)  # fmlint: disable=FM003 (pre-attach provisioning)
-        fabric.write_word(table, version)  # fmlint: disable=FM003 (pre-attach provisioning)
+        self.allocator.provision(table, encode_u64(version) + bytes(size - WORD))
         return table
 
     def _publish_tree(self, version: int, leaves: list[_Leaf]) -> None:
         """Serialize the initial leaves array and header for :meth:`create`."""
         blob = _encode_leaves(leaves)
         region = self.allocator.alloc(max(len(blob), WORD))
-        fabric = self.allocator.fabric
-        fabric.write(region, blob)  # fmlint: disable=FM003 (pre-attach provisioning)
+        self.allocator.provision(region, blob)
         header_blob = encode_u64(version) + encode_u64(len(leaves)) + encode_u64(region)
-        fabric.write(self.header, header_blob)  # fmlint: disable=FM003 (pre-attach provisioning)
+        self.allocator.provision(self.header, header_blob)
 
     # ------------------------------------------------------------------
     # Client tree cache
@@ -992,8 +989,8 @@ class HTTree:
 
     def leaf_count(self) -> int:
         """Current number of leaves (hash tables) in the published tree."""
-        fabric = self.allocator.fabric
-        return fabric.read_word(self.header + WORD)  # fmlint: disable=FM003 (debug introspection)
+        # fmlint: disable=FM003 (debug introspection)
+        return self.allocator.fabric.read_word(self.header + WORD)
 
     def __repr__(self) -> str:
         return (

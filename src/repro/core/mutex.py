@@ -21,7 +21,7 @@ from ..alloc import FarAllocator, PlacementHint
 from ..analysis.budget import far_budget
 from ..fabric.client import Client
 from ..fabric.errors import FabricError
-from ..fabric.wire import WORD
+from ..fabric.wire import WORD, encode_u64
 from ..notify.manager import NotificationManager
 from ..notify.subscription import Subscription
 
@@ -61,8 +61,7 @@ class FarMutex:
     ) -> "FarMutex":
         """Allocate an unlocked mutex."""
         address = allocator.alloc(WORD, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write_word(address, UNLOCKED)
+        allocator.provision(address, encode_u64(UNLOCKED))
         return cls(address=address, manager=manager)
 
     @staticmethod

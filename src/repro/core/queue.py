@@ -184,14 +184,8 @@ class FarQueue:
             slack_slots=slack,
             use_fsaai=use_fsaai,
         )
-        fabric = allocator.fabric
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        fabric.write_word(queue.head_addr, queue.array_base)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        fabric.write_word(queue.tail_addr, queue.array_base)
-        fabric.write(  # fmlint: disable=FM003 (pre-attach provisioning)
-            queue.array_base, encode_u64(EMPTY) * (capacity + queue.slack_slots)
-        )
+        head_tail = encode_u64(queue.array_base) * 2
+        allocator.provision(base, head_tail + encode_u64(EMPTY) * (capacity + slack))
         return queue
 
     # ------------------------------------------------------------------

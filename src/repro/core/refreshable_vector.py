@@ -129,8 +129,7 @@ class RefreshableVector:
             version_words = (length + group_size - 1) // group_size
         total = (version_words + length) * WORD
         base = allocator.alloc(total, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write(base, b"\x00" * total)
+        allocator.provision(base, bytes(total))
         return cls(
             allocator,
             manager,

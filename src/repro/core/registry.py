@@ -96,9 +96,7 @@ class FarRegistry:
             raise ValueError("capacity must be positive")
         size = WORD + capacity * ENTRY_WORDS * WORD
         base = allocator.alloc(size, hint)
-        fabric = allocator.fabric
-        fabric.write(base, b"\x00" * size)  # fmlint: disable=FM003 (pre-attach provisioning)
-        fabric.write_word(base, capacity)  # fmlint: disable=FM003 (pre-attach provisioning)
+        allocator.provision(base, encode_u64(capacity) + bytes(size - WORD))
         return cls(base=base, capacity=capacity, allocator=allocator)
 
     @classmethod

@@ -60,7 +60,7 @@ class FarRWLock:
     ) -> "FarRWLock":
         """Allocate an unheld lock."""
         address = allocator.alloc(WORD, hint)
-        allocator.fabric.write_word(address, 0)  # fmlint: disable=FM003 (pre-attach provisioning)
+        allocator.provision(address, bytes(WORD))
         return cls(address=address, manager=manager)
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional
 from ..alloc import FarAllocator, PlacementHint
 from ..core.mutex import MutexError
 from ..fabric.client import Client
-from ..fabric.wire import WORD, to_signed
+from ..fabric.wire import WORD, encode_u64, to_signed
 from ..notify.manager import NotificationManager
 from ..notify.subscription import Subscription
 
@@ -52,8 +52,7 @@ class FarSemaphore:
         if permits <= 0:
             raise ValueError("permits must be positive")
         address = allocator.alloc(WORD, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write_word(address, permits)
+        allocator.provision(address, encode_u64(permits))
         return cls(address=address, manager=manager, permits=permits)
 
     def try_acquire(self, client: Client) -> bool:

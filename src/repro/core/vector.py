@@ -28,7 +28,7 @@ import numpy as np
 from ..alloc import FarAllocator, PlacementHint
 from ..fabric.client import Client
 from ..fabric.errors import AddressError
-from ..fabric.wire import WORD
+from ..fabric.wire import WORD, encode_u64
 from ..notify.manager import NotificationManager
 from ..notify.subscription import Notification, NotifyKind, Subscription
 
@@ -59,10 +59,8 @@ class FarVector:
             raise ValueError("vector length must be positive")
         descriptor = allocator.alloc(WORD, hint)
         storage = allocator.alloc(length * WORD, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write(storage, b"\x00" * (length * WORD))
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write_word(descriptor, storage)
+        allocator.provision(storage, bytes(length * WORD))
+        allocator.provision(descriptor, encode_u64(storage))
         return cls(descriptor=descriptor, length=length)
 
     def _check_index(self, index: int) -> None:

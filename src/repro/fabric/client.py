@@ -38,7 +38,9 @@ with the synchronous API as a thin veneer:
   retried future overlaps the rest of its window instead of stalling
   it — and fails fast per memory node via a circuit breaker once
   failures persist. Pass ``retry_policy=None`` / ``breaker_policy=None``
-  to disable either layer.
+  to disable either layer. Either way every op runs the same attempt
+  loop: with ``retry_policy=None`` it makes one attempt, and a timeout
+  still costs ``timeout_ns`` and counts in ``metrics.timeouts``.
 
 Clients also own a notification inbox; the notification subsystem
 (:mod:`repro.notify`) delivers into it and :meth:`poll_notifications`
@@ -495,19 +497,6 @@ class Client:
         fabric = self.fabric
         policy = self.retry_policy
         kind = getattr(op, "__name__", None)
-        if policy is None and self.breaker_policy is None:
-            if self._tracer is not None:
-                self._trace_node = fabric.node_of(address)
-                self._trace_addr = address
-            try:
-                fabric.fault_check(address, kind)
-                return op(*args)
-            except FarTimeoutError as err:
-                if self._tracer is not None and err.torn:
-                    self._tracer.on_torn_write(
-                        self, op=kind, node=err.node, addr=address, attempt=1
-                    )
-                raise
         node = fabric.node_of(address)
         if self._tracer is not None:
             self._trace_node = node
@@ -543,7 +532,7 @@ class Client:
                         backoff_ns=backoff,
                     )
             try:
-                fabric.fault_check(address, kind)
+                fabric.fault_check(address, node, kind)
                 result = op(*args)
             except FarTimeoutError as err:
                 self.metrics.timeouts += 1

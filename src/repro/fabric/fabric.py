@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from .address import Location, Placement, RangePlacement
-from .errors import RemoteIndirectionError
+from .errors import FarTimeoutError, NodeUnavailableError, RemoteIndirectionError
 from .extent import ExtentTable
 from .latency import CostModel
 from .memory_node import MemoryNode
@@ -180,7 +180,7 @@ class Fabric(FarPrimitivesMixin):
         """Attach (or detach, with ``None``) a transient-fault injector."""
         self._fault_injector = injector
 
-    def fault_check(self, address: int, kind: Optional[str] = None) -> None:
+    def fault_check(self, address: int, node: int, kind: Optional[str] = None) -> None:
         """Consult the fault injector at one operation boundary.
 
         Clients call this once per one-sided op, *before* the fabric
@@ -191,7 +191,9 @@ class Fabric(FarPrimitivesMixin):
         when a fault fires; latency spikes instead accumulate a pending
         multiplier read back via :meth:`consume_fault_latency`.
 
-        ``kind`` names the fabric method about to run (``"write"``,
+        ``node`` is the memory node holding ``address``, as the caller
+        already resolved it for this op. ``kind`` names the fabric
+        method about to run (``"write"``,
         ``"read"``, ...) so TORN rules match only multi-word writes. A
         CORRUPT rule that fires rots stored bytes near ``address`` here,
         silently, before the op body runs — so the op observes (or
@@ -200,7 +202,7 @@ class Fabric(FarPrimitivesMixin):
         injector = self._fault_injector
         if injector is None:
             return
-        injector.before_access(self.node_of(address), address, kind)
+        injector.before_access(node, address, kind)
         flips = injector.take_corruption()
         if flips:
             total = self.extents.virtual_size
@@ -220,8 +222,6 @@ class Fabric(FarPrimitivesMixin):
         return self._fault_injector.consume_latency_multiplier()
 
     def _node_for(self, location: Location, address: int) -> MemoryNode:
-        from .errors import NodeUnavailableError
-
         if location.node in self._failed_nodes:
             raise NodeUnavailableError(location.node, address)
         return self.nodes[location.node]
@@ -269,8 +269,6 @@ class Fabric(FarPrimitivesMixin):
         if self._fault_injector is not None:
             fraction = self._fault_injector.take_torn_fraction()
             if fraction is not None:
-                from .errors import FarTimeoutError
-
                 prefix = align_down(int(len(data) * fraction), WORD)
                 if prefix > 0:
                     self._write_segments(address, bytes(data[:prefix]))
@@ -298,8 +296,6 @@ class Fabric(FarPrimitivesMixin):
     def _apply_mirrors(self, data: bytes, mirrors) -> int:
         """FORWARD-policy dual writes: mirror the already-copied portion
         of a migrating extent to its new home (one forward hop each)."""
-        from .errors import NodeUnavailableError
-
         hops = 0
         for data_off, length, dst_node, dst_offset in mirrors:
             if dst_node in self._failed_nodes:
@@ -326,8 +322,6 @@ class Fabric(FarPrimitivesMixin):
         use. Deliberately bypasses fault injection (transient-fault rules
         key on virtual addresses); callers charge it like any far write.
         """
-        from .errors import NodeUnavailableError
-
         if node in self._failed_nodes:
             raise NodeUnavailableError(node, offset)
         self.nodes[node].write(offset, bytes(data))

@@ -115,6 +115,14 @@ class ReplicatedRegion:
         Requires range placement (replicas must live in distinct fault
         domains) and at least ``copies`` nodes.
         """
+        return cls._place(allocator, bytes(size), copies)
+
+    @classmethod
+    def _place(
+        cls, allocator: "FarAllocator", image: bytes, copies: int
+    ) -> "ReplicatedRegion":
+        """Allocate ``copies`` replicas of ``image``, one per memory node,
+        and provision each with it once."""
         from ..alloc import on_node  # deferred: avoids the import cycle
 
         node_count = allocator.fabric.node_count
@@ -125,11 +133,11 @@ class ReplicatedRegion:
                 f"cannot place {copies} replicas on {node_count} node(s)"
             )
         replicas = [
-            allocator.alloc(size, on_node(node)) for node in range(copies)
+            allocator.alloc(len(image), on_node(node)) for node in range(copies)
         ]
         for replica in replicas:
-            allocator.fabric.write(replica, b"\x00" * size)
-        return cls(replicas=replicas, size=size, allocator=allocator)
+            allocator.provision(replica, image)
+        return cls(replicas=replicas, size=len(image), allocator=allocator)
 
     @classmethod
     def create_framed(
@@ -152,13 +160,10 @@ class ReplicatedRegion:
             raise ValueError("block_payload must be positive")
         if block_count <= 0:
             raise ValueError("block_count must be positive")
-        size = frame_size(block_payload) * block_count
-        region = cls.create(allocator, size, copies=copies)
+        image = frame_block(bytes(block_payload), 0) * block_count
+        region = cls._place(allocator, image, copies)
         region.block_payload = block_payload
         region.block_count = block_count
-        image = frame_block(b"\x00" * block_payload, 0) * block_count
-        for replica in region.replicas:
-            allocator.fabric.write(replica, image)
         return region
 
     def _check(self, offset: int, length: int) -> None:

@@ -93,9 +93,7 @@ class LeasedFarMutex:
             raise ValueError("ttl_epochs must be >= 1")
         words = 2 if epoch_addr is not None else 3
         address = allocator.alloc(words * WORD, hint)
-        fabric = allocator.fabric
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        fabric.write(address, b"\x00" * words * WORD)
+        allocator.provision(address, bytes(words * WORD))
         if epoch_addr is None:
             epoch_addr = address + 2 * WORD
         return cls(address=address, epoch_addr=epoch_addr, ttl_epochs=ttl_epochs)

@@ -86,6 +86,38 @@ class TestFree:
             allocator.size_of(a)
 
 
+class TestProvision:
+    def test_writes_block_bytes(self, allocator, fabric):
+        a = allocator.alloc(16)
+        allocator.provision(a, b"\x01" * 16)
+        assert fabric.read(a, 16).value == b"\x01" * 16
+
+    def test_shorter_image_leaves_tail_untouched(self, allocator, fabric):
+        a = allocator.alloc(16)
+        allocator.provision(a, b"\x02" * 8)
+        assert fabric.read(a, 16).value == b"\x02" * 8 + bytes(8)
+
+    def test_interior_address_rejected(self, allocator, fabric):
+        a = allocator.alloc(64)
+        with pytest.raises(AllocationError):
+            allocator.provision(a + 8, b"\x01" * 8)
+        assert fabric.read(a, 64).value == bytes(64)
+
+    def test_overflowing_image_rejected(self, allocator, fabric):
+        a = allocator.alloc(16)
+        neighbour = allocator.alloc(16)
+        with pytest.raises(AllocationError):
+            allocator.provision(a, b"\x01" * 24)
+        assert fabric.read(a, 16).value == bytes(16)
+        assert fabric.read(neighbour, 16).value == bytes(16)
+
+    def test_freed_block_rejected(self, allocator):
+        a = allocator.alloc(16)
+        allocator.free(a)
+        with pytest.raises(AllocationError):
+            allocator.provision(a, b"\x01" * 8)
+
+
 class TestHints:
     def test_on_node(self, allocator, fabric):
         for node in range(4):

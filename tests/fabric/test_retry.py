@@ -148,6 +148,18 @@ class TestClientRetries:
         assert c.read_u64(addr) == 0  # next op is fine
         assert c.metrics.retries == 0
 
+    def test_retry_disabled_timeout_still_costs(self, cluster):
+        # With retry and breaker both off, the one attempt is accounted
+        # exactly like the first attempt of a retrying client.
+        addr = cluster.allocator.alloc(64)
+        cluster.inject_faults(seed=1, plan=FaultPlan().timeout_at(0))
+        c = cluster.client(retry_policy=None, breaker_policy=None)
+        before = c.clock.now_ns
+        with pytest.raises(FarTimeoutError):
+            c.read_u64(addr)
+        assert c.metrics.timeouts == 1
+        assert c.clock.now_ns - before == c.cost_model.timeout_ns
+
     def test_time_budget_stops_retries(self, cluster):
         addr = cluster.allocator.alloc(64)
         cluster.inject_faults(seed=1, plan=FaultPlan().random_timeouts(1.0))
